@@ -172,6 +172,12 @@ func BenchmarkWireCloneRoundTrip(b *testing.B) {
 // independent (log tables key by query id).
 func benchQuery(b *testing.B, web *Web, opts ServerOptions, src string, metrics ...func(*Deployment, int)) {
 	b.Helper()
+	benchLoop(b, web, opts, func(d *Deployment) (*Query, error) { return d.Run(src, 30*time.Second) }, metrics...)
+}
+
+// benchLoop is benchQuery with the per-iteration query call supplied.
+func benchLoop(b *testing.B, web *Web, opts ServerOptions, run func(*Deployment) (*Query, error), metrics ...func(*Deployment, int)) {
+	b.Helper()
 	d, err := NewDeployment(Config{Web: web, Server: opts, NoDocService: true})
 	if err != nil {
 		b.Fatal(err)
@@ -179,7 +185,7 @@ func benchQuery(b *testing.B, web *Web, opts ServerOptions, src string, metrics 
 	defer d.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		q, err := d.Run(src, 30*time.Second)
+		q, err := run(d)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -548,7 +554,15 @@ func BenchmarkTreeHotPath(b *testing.B) {
 	src := fmt.Sprintf(`select d.url from document d such that %q N|(G*3) d where d.text contains %q`,
 		web.First(), webgraph.Marker)
 	b.Run("baseline", func(b *testing.B) {
-		benchQuery(b, web, ServerOptions{NoConnPool: true, SerialFanout: true, NoParseCache: true, NoSingleflight: true}, src)
+		// The seed's path: a per-query collector endpoint and pool.
+		benchLoop(b, web, ServerOptions{NoConnPool: true, SerialFanout: true, NoParseCache: true, NoSingleflight: true},
+			func(d *Deployment) (*Query, error) {
+				q, err := d.SubmitDISQL(src)
+				if err != nil {
+					return nil, err
+				}
+				return q, q.Wait(30 * time.Second)
+			})
 	})
 	b.Run("optimized", func(b *testing.B) {
 		benchQuery(b, web, ServerOptions{CacheDBs: true, Workers: 4}, src,

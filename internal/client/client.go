@@ -21,7 +21,9 @@
 // Cancellation is passive, exactly as in Section 2.8: Cancel closes the
 // query's listening endpoint; when a server later fails to deliver results
 // on that endpoint it purges the query locally instead of forwarding it,
-// so no termination messages ever chase clones across the web. Active
+// so no termination messages ever chase clones across the web. Queries
+// multiplexed over a Session share its endpoint, so for them passive
+// termination applies per session, when the session closes. Active
 // termination is layered on top, not instead: Stop (triggered by
 // Budget.FirstN at the user-site, or by a cancelled submit context)
 // broadcasts a typed StopMsg to every site with live CHT entries, whose
@@ -40,7 +42,9 @@ import (
 	"errors"
 	"fmt"
 	"iter"
+	"maps"
 	"net"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -144,7 +148,8 @@ type Options struct {
 
 // Client is a WEBDIS user-site. It can run many queries, each with its own
 // Result Collector endpoint ("<base>/q<n>"), or many queries multiplexed
-// over one Session endpoint ("<base>/s<n>").
+// over one Session endpoint ("<base>/s<n>"). Queries whose caller blocks
+// until they finish share the client's default session (see Session).
 type Client struct {
 	tr   netsim.Transport
 	user string
@@ -158,6 +163,12 @@ type Client struct {
 	mu       sync.Mutex
 	next     int
 	sessions int
+
+	// def is the default session (see Session); defMu guards it apart
+	// from mu, which NewSession takes.
+	defMu  sync.Mutex
+	def    *Session
+	closed bool
 }
 
 // New returns a client for the given user dialing from endpoints under
@@ -175,6 +186,39 @@ func NewWith(tr netsim.Transport, user, base string, opts Options) *Client {
 	return c
 }
 
+// Session returns the client's default session, opening it on first use.
+// Queries whose caller blocks until they finish (Deployment.Run, watch
+// baselines and re-derivations) share it, so result connections and
+// their wire-v2 intern tables outlive each query. After Close it returns
+// ErrSessionClosed.
+func (c *Client) Session() (*Session, error) {
+	c.defMu.Lock()
+	defer c.defMu.Unlock()
+	if c.closed {
+		return nil, ErrSessionClosed
+	}
+	if c.def == nil {
+		s, err := c.NewSession()
+		if err != nil {
+			return nil, err
+		}
+		c.def = s
+	}
+	return c.def, nil
+}
+
+// Close closes the default session, cancelling its live queries.
+// Queries submitted with their own endpoint are unaffected. Idempotent.
+func (c *Client) Close() {
+	c.defMu.Lock()
+	s := c.def
+	c.closed = true
+	c.defMu.Unlock()
+	if s != nil {
+		s.Close()
+	}
+}
+
 // selfListener is the optional transport capability of minting extra
 // dialable collector endpoints from one configured address (TCP's
 // ephemeral-port overflow). Transports without it simply fail the
@@ -183,27 +227,66 @@ type selfListener interface {
 	ListenSelf(base, suffix string) (net.Listener, string, error)
 }
 
-// listenCollector binds a collector endpoint named base/suffix. When the
+// collector is one bound Result Collector endpoint and the connection
+// pool its owner sends from. unsub, when non-nil, detaches the pool's
+// down-replica eviction from the cluster.
+type collector struct {
+	ln       net.Listener
+	endpoint string
+	pool     *netsim.Pool
+	unsub    func()
+}
+
+// openCollector binds a collector endpoint named base/suffix. When the
 // exact bind fails (a TCP base whose port another collector of this
 // process already holds), it falls back to the transport's self-listen
 // overflow, which embeds the actually-bound address in the name so
-// remote sites can still dial it.
-func (c *Client) listenCollector(suffix string) (net.Listener, string, error) {
-	endpoint := fmt.Sprintf("%s/%s", c.base, suffix)
-	ln, err := c.tr.Listen(endpoint)
-	if err == nil {
-		return ln, endpoint, nil
-	}
-	if sl, ok := c.tr.(selfListener); ok {
-		if ln2, name, err2 := sl.ListenSelf(c.base, suffix); err2 == nil {
-			return ln2, name, nil
+// remote sites can still dial it. On a cluster, a replica declared down
+// has its idle pooled connections evicted, so the next send re-resolves
+// instead of burning a send on the corpse.
+func (c *Client) openCollector(suffix string) (*collector, error) {
+	col := &collector{endpoint: fmt.Sprintf("%s/%s", c.base, suffix)}
+	ln, err := c.tr.Listen(col.endpoint)
+	if err != nil {
+		sl, ok := c.tr.(selfListener)
+		if !ok {
+			return nil, err
+		}
+		var err2 error
+		if ln, col.endpoint, err2 = sl.ListenSelf(c.base, suffix); err2 != nil {
+			return nil, err
 		}
 	}
-	return nil, "", err
+	col.ln = ln
+	col.pool = netsim.NewPool(c.tr, col.endpoint, netsim.PoolOptions{
+		Wrap: func(conn net.Conn) net.Conn { return wire.NewFramedOpts(conn, c.frameOpts()) },
+	})
+	if cl := c.opts.Cluster; cl != nil {
+		pool := col.pool
+		col.unsub = cl.Subscribe(func(ep string, st cluster.State) {
+			if st == cluster.Down {
+				pool.EvictPeer(ep)
+			}
+		})
+	}
+	return col, nil
 }
 
-// frameOpts derives the wire-session options for this client's shared
-// (session) connections: version pinning under Options.WireV1.
+// close unbinds the endpoint, closes the given accepted connections and
+// the pool, and detaches the pool's down-replica eviction.
+func (col *collector) close(conns []net.Conn) {
+	if col.unsub != nil {
+		col.unsub()
+	}
+	col.ln.Close()
+	for _, conn := range conns {
+		conn.Close()
+	}
+	col.pool.Close()
+}
+
+// frameOpts derives the wire-session options for every connection this
+// client opens or accepts: version pinning under Options.WireV1.
 func (c *Client) frameOpts() wire.FramedOptions {
 	if c.opts.WireV1 {
 		return wire.FramedOptions{Offer: 1, Accept: 1}
@@ -305,7 +388,7 @@ type Query struct {
 	web *disql.WebQuery
 	tr  netsim.Transport
 
-	ln     net.Listener
+	own    *collector // the query's own endpoint; nil for a session query
 	doneCh chan struct{}
 	// extDone mirrors Options.Done: a deployment-lifetime bound for the
 	// query's pump goroutines. Nil blocks forever in a select — exactly
@@ -325,21 +408,16 @@ type Query struct {
 	spanSeq   atomic.Int64
 
 	// Replication (all nil/zero without Options.Cluster). cluster is the
-	// shared membership table; entries mirrors the live CHT entries so the
-	// reaper can reconstruct a stranded clone from its key alone;
-	// replayable is set when the query carries no correlated-stage
-	// environment (a replayed clone cannot recover one); replayed marks
-	// the keys re-dispatched to a surviving replica, scoping the
-	// duplicate-retire absorption; unsub detaches the pool-eviction
-	// subscription on finish.
+	// shared membership table; replayable is set when the query carries
+	// no correlated-stage environment (a replayed clone cannot recover
+	// one); replayed marks the entries re-dispatched to a surviving
+	// replica, scoping the duplicate-retire absorption.
 	cluster      *cluster.Membership
-	entries      map[string]wire.CHTEntry
 	budget       wire.Budget
 	replayable   bool
-	replayed     map[string]bool
+	replayed     map[wire.CHTEntry]bool
 	replayVia    map[string]map[string]bool // site -> replicas used by replay rounds
 	replayRounds int
-	unsub        func()
 
 	// pool reuses connections from the query's endpoint to the query
 	// servers it talks to repeatedly (root dispatch, fallback rejoins);
@@ -347,9 +425,9 @@ type Query struct {
 	pool *netsim.Pool
 
 	mu          sync.Mutex
-	conns       map[net.Conn]bool // accepted collector connections
-	counts      map[string]int    // signed CHT entry counts
-	nonzero     int               // number of keys with a nonzero count
+	conns       map[net.Conn]bool     // accepted collector connections
+	counts      map[wire.CHTEntry]int // signed CHT entry counts
+	nonzero     int                   // number of keys with a nonzero count
 	tables      map[int]*ResultTable
 	rowSeen     map[int]map[string]bool
 	stitched    []trace.Event // span events recovered from result reports
@@ -381,10 +459,10 @@ type Query struct {
 	stopping bool
 	stopSent map[string]bool
 
-	// Wire/batching knobs inherited from Options: wireV1 pins this
-	// query's sessions to framed gob; adaptive arms the TUNE feedback
+	// Wire/batching knobs inherited from Options: frame pins this query's
+	// sessions to framed gob under WireV1; adaptive arms the TUNE feedback
 	// loop, with tuneLevel the hysteresis state (0 defaults, 1 boosted).
-	wireV1    bool
+	frame     wire.FramedOptions
 	adaptive  bool
 	tuneLevel int
 
@@ -482,98 +560,14 @@ func (c *Client) submit(w *disql.WebQuery, b wire.Budget, sess *Session, rec *re
 			return nil, fmt.Errorf("client: index(%q) matched no documents", w.StartTerm)
 		}
 	}
-	c.mu.Lock()
-	c.next++
-	num := c.next
-	c.mu.Unlock()
-
 	if b.FirstN > 0 && (b.Rows == 0 || b.Rows > b.FirstN) {
 		// First-N implies the row quota: servers clip what the user-site
 		// would discard anyway, before it ever crosses the wire.
 		b.Rows = b.FirstN
 	}
-	q := &Query{
-		web:        w,
-		tr:         c.tr,
-		hybrid:     c.opts.Hybrid,
-		reapGrace:  c.opts.ReapGrace,
-		met:        c.opts.Metrics,
-		journal:    c.opts.Journal,
-		cluster:    c.opts.Cluster,
-		budget:     b,
-		sess:       sess,
-		doneCh:     make(chan struct{}),
-		conns:      make(map[net.Conn]bool),
-		counts:     make(map[string]int),
-		tables:     make(map[int]*ResultTable),
-		rowSeen:    make(map[int]map[string]bool),
-		started:    time.Now(),
-		lastReport: time.Now(),
-		firstN:     b.FirstN,
-		stopSent:   make(map[string]bool),
-		wireV1:     c.opts.WireV1,
-		adaptive:   c.opts.AdaptiveBatch,
-		extDone:    c.opts.Done,
-		rec:        rec,
-	}
-	q.scond = sync.NewCond(&q.mu)
-	if w.Output != nil {
-		q.output = w.Output
-		q.finalStage = len(w.Stages) - 1
-		if w.Output.Grouped() {
-			q.acc = plan.NewAcc(w.Output)
-			q.contribSeen = make(map[string]bool)
-		}
-	}
-	q.statSink = c.stats
-	if q.cluster != nil {
-		q.entries = make(map[string]wire.CHTEntry)
-		q.replayed = make(map[string]bool)
-		// A clone reconstructed from its CHT entry cannot recover the
-		// correlated-stage environment the original carried, so replay is
-		// armed only for queries whose stages reference no outer columns.
-		q.replayable = true
-		for _, st := range w.Stages {
-			if st.Query != nil && len(st.Query.Outer) > 0 {
-				q.replayable = false
-				break
-			}
-		}
-	}
-	if sess != nil {
-		// The session owns the collector endpoint and connection pool;
-		// reports are routed to this query by its id.
-		q.id = wire.QueryID{User: c.user, Site: sess.endpoint, Num: num}
-		q.pool = sess.pool
-		if err := sess.register(q); err != nil {
-			return nil, err
-		}
-	} else {
-		ln, endpoint, err := c.listenCollector(fmt.Sprintf("q%d", num))
-		if err != nil {
-			return nil, fmt.Errorf("client: result collector: %w", err)
-		}
-		q.id = wire.QueryID{User: c.user, Site: endpoint, Num: num}
-		q.ln = ln
-		q.pool = netsim.NewPool(c.tr, endpoint, netsim.PoolOptions{
-			Wrap: func(conn net.Conn) net.Conn { return wire.NewFramedOpts(conn, q.frameOpts()) },
-		})
-		if q.cluster != nil {
-			// Proactive hygiene: when the health layer declares a replica
-			// down, its idle pooled connections are dead weight — evict them
-			// so the next send dials a live replica instead of discovering
-			// the corpse one stale connection at a time.
-			pool := q.pool
-			q.unsub = q.cluster.Subscribe(func(ep string, st cluster.State) {
-				if st == cluster.Down {
-					pool.EvictPeer(ep)
-				}
-			})
-		}
-		go q.collect()
-	}
-	if q.reapGrace > 0 {
-		go q.reaper()
+	q, err := c.newQuery(w, b, sess, rec)
+	if err != nil {
+		return nil, err
 	}
 
 	stages := make([]disql.Stage, len(w.Stages))
@@ -637,37 +631,94 @@ func (c *Client) submit(w *disql.WebQuery, b wire.Budget, sess *Session, rec *re
 				State: state.String(), Detail: site,
 			})
 		}
-		if err := q.dispatch(site, msg); err != nil {
-			if q.hybrid {
-				// The StartNode's site does not participate: process its
-				// clone centrally (Section 7.1).
-				q.journal.Append(trace.Event{
-					Query: q.id.String(), Span: msg.Span, Kind: trace.Bounce,
-					State: state.String(), Detail: wire.BounceNoServer,
-				})
-				q.bounced(msg)
-				continue
-			}
-			q.journal.Append(trace.Event{
-				Query: q.id.String(), Span: msg.Span, Kind: trace.ForwardFailed,
-				State: state.String(), Detail: site,
-			})
-			if firstErr == nil {
-				firstErr = err
-			}
-			// The site is unreachable: retire its entries so completion
-			// detection is not wedged on clones that never existed.
-			q.mu.Lock()
-			for _, dest := range bySite[site] {
-				q.retire(wire.CHTEntry{Node: dest.URL, State: state, Origin: dest.Origin, Seq: dest.Seq})
-			}
-			q.maybeComplete()
-			q.mu.Unlock()
+		if err := q.dispatchRoot(site, msg); err != nil && firstErr == nil {
+			firstErr = err
 		}
 	}
 	if firstErr != nil && len(sites) == 1 {
 		q.Cancel()
 		return nil, firstErr
+	}
+	return q, nil
+}
+
+// newQuery builds a query's user-site state and opens its Result
+// Collector: the session's shared endpoint when sess is non-nil (the
+// query joins its routing table), otherwise a per-query endpoint
+// "<base>/q<n>" with its own connection pool and collector goroutine.
+// The reaper starts here too; dispatch is the caller's.
+func (c *Client) newQuery(w *disql.WebQuery, b wire.Budget, sess *Session, rec *recording) (*Query, error) {
+	c.mu.Lock()
+	c.next++
+	num := c.next
+	c.mu.Unlock()
+
+	q := &Query{
+		web:        w,
+		tr:         c.tr,
+		hybrid:     c.opts.Hybrid,
+		reapGrace:  c.opts.ReapGrace,
+		met:        c.opts.Metrics,
+		journal:    c.opts.Journal,
+		cluster:    c.opts.Cluster,
+		budget:     b,
+		sess:       sess,
+		doneCh:     make(chan struct{}),
+		counts:     make(map[wire.CHTEntry]int),
+		tables:     make(map[int]*ResultTable),
+		rowSeen:    make(map[int]map[string]bool),
+		started:    time.Now(),
+		lastReport: time.Now(),
+		firstN:     b.FirstN,
+		stopSent:   make(map[string]bool),
+		frame:      c.frameOpts(),
+		adaptive:   c.opts.AdaptiveBatch,
+		extDone:    c.opts.Done,
+		rec:        rec,
+		statSink:   c.stats,
+	}
+	q.scond = sync.NewCond(&q.mu)
+	if w.Output != nil {
+		q.output = w.Output
+		q.finalStage = len(w.Stages) - 1
+		if w.Output.Grouped() {
+			q.acc = plan.NewAcc(w.Output)
+			q.contribSeen = make(map[string]bool)
+		}
+	}
+	if q.cluster != nil {
+		q.replayed = make(map[wire.CHTEntry]bool)
+		// A clone reconstructed from its CHT entry cannot recover the
+		// correlated-stage environment the original carried, so replay is
+		// armed only for queries whose stages reference no outer columns.
+		q.replayable = true
+		for _, st := range w.Stages {
+			if st.Query != nil && len(st.Query.Outer) > 0 {
+				q.replayable = false
+				break
+			}
+		}
+	}
+	if sess != nil {
+		// The session owns the collector endpoint and connection pool;
+		// reports are routed to this query by its id.
+		q.id = wire.QueryID{User: c.user, Site: sess.endpoint, Num: num}
+		q.pool = sess.pool
+		if err := sess.register(q); err != nil {
+			return nil, err
+		}
+	} else {
+		col, err := c.openCollector(fmt.Sprintf("q%d", num))
+		if err != nil {
+			return nil, fmt.Errorf("client: result collector: %w", err)
+		}
+		q.id = wire.QueryID{User: c.user, Site: col.endpoint, Num: num}
+		q.own, q.pool = col, col.pool
+		q.conns = make(map[net.Conn]bool)
+		go q.collect()
+	}
+	if q.reapGrace > 0 {
+		go q.reaper()
 	}
 	return q, nil
 }
@@ -737,8 +788,23 @@ func (q *Query) FallbackStats() FallbackStats {
 	return q.fstats
 }
 
-func (q *Query) dispatch(site string, msg *wire.CloneMsg) error {
-	return q.sendSite(site, msg)
+// dispatchRoot ships one root clone to its site. When the site does not
+// take it, a hybrid query processes the clone centrally (Section 7.1);
+// otherwise its entries retire, so completion detection is not wedged
+// on clones that never existed, and the send error is returned.
+func (q *Query) dispatchRoot(site string, msg *wire.CloneMsg) error {
+	err := q.sendSite(site, msg)
+	if err == nil {
+		return nil
+	}
+	if q.hybrid {
+		q.jot(msg, trace.Bounce, wire.BounceNoServer)
+		err = nil
+	} else {
+		q.jot(msg, trace.ForwardFailed, site)
+	}
+	q.bounced(msg)
+	return err
 }
 
 // poolSend delivers one message to the named endpoint over the query's
@@ -788,7 +854,7 @@ func (q *Query) poolSend(to string, msg any) error {
 // endpoint and merges every ResultMsg.
 func (q *Query) collect() {
 	for {
-		conn, err := q.ln.Accept()
+		conn, err := q.own.ln.Accept()
 		if err != nil {
 			return
 		}
@@ -815,7 +881,7 @@ func (q *Query) collect() {
 			}()
 			// Reporting servers pool this connection and stream many
 			// frames over it; decode with a persistent session.
-			framed := wire.NewFramedOpts(conn, q.frameOpts())
+			framed := wire.NewFramedOpts(conn, q.frame)
 			for {
 				msg, err := wire.Receive(framed)
 				if err != nil {
@@ -955,17 +1021,10 @@ func (q *Query) TraceEvents() []trace.Event {
 	return out
 }
 
-// addEntry and retire maintain the signed counting multiset. Callers hold
-// q.mu.
+// addEntry and retire maintain the signed counting multiset, keyed by
+// the entry itself. Callers hold q.mu.
 func (q *Query) addEntry(e wire.CHTEntry) {
-	key := e.Key()
-	if q.entries != nil {
-		// Mirror the entry itself (not just its count) so the reaper can
-		// reconstruct a stranded clone from the key alone; bump deletes the
-		// mirror when the count returns to zero.
-		q.entries[key] = e
-	}
-	q.bump(key, +1)
+	q.bump(e, +1)
 	q.stats.EntriesAdded++
 	if q.nonzero > q.stats.PeakLive {
 		q.stats.PeakLive = q.nonzero
@@ -973,42 +1032,38 @@ func (q *Query) addEntry(e wire.CHTEntry) {
 }
 
 func (q *Query) retire(e wire.CHTEntry) {
-	key := e.Key()
-	if q.replayed != nil && q.replayed[key] && q.counts[key] <= 0 {
+	if q.replayed[e] && q.counts[e] <= 0 {
 		// A second retirement of a replayed instance: both the replay and
 		// the original (its report surviving the crash after all, or two
 		// replicas each processing one copy) accounted the entry. The first
 		// retirement balanced it; absorbing the duplicate keeps the
-		// counting multiset exact. Scoped to replayed keys — for everything
-		// else a negative count is the legal report-overtakes-announce
-		// asynchrony and must stand.
+		// counting multiset exact. Scoped to replayed entries — for
+		// everything else a negative count is the legal
+		// report-overtakes-announce asynchrony and must stand.
 		q.stats.DupRetired++
 		if q.met != nil {
 			q.met.DupRetired.Add(1)
 		}
 		return
 	}
-	if q.counts[key] <= 0 {
+	if q.counts[e] <= 0 {
 		// The report overtook the update announcing the entry.
 		q.stats.GhostReports++
 	}
-	q.bump(key, -1)
+	q.bump(e, -1)
 	q.stats.EntriesRetired++
 }
 
-func (q *Query) bump(key string, delta int) {
-	old := q.counts[key]
+func (q *Query) bump(e wire.CHTEntry, delta int) {
+	old := q.counts[e]
 	now := old + delta
 	if now == 0 {
-		delete(q.counts, key)
-		if q.entries != nil {
-			delete(q.entries, key)
-		}
+		delete(q.counts, e)
 		if old != 0 {
 			q.nonzero--
 		}
 	} else {
-		q.counts[key] = now
+		q.counts[e] = now
 		if old == 0 {
 			q.nonzero++
 		}
@@ -1074,21 +1129,19 @@ func (q *Query) stopTargets() []string {
 	if !q.stopping || q.done {
 		return nil
 	}
+	return q.liveSites(q.stopSent)
+}
+
+// liveSites returns, sorted, the sites holding — or about to receive —
+// a clone with a live CHT entry, except those already in told, which it
+// marks. Callers hold q.mu.
+func (q *Query) liveSites(told map[string]bool) []string {
 	var sites []string
-	for key := range q.counts {
-		// Key layout is "node§state§origin§seq" (wire.CHTEntry.Key); the
-		// node's host is the site holding — or about to receive — the
-		// clone.
-		i := strings.Index(key, "§")
-		if i <= 0 {
-			continue
+	for e := range q.counts {
+		if site := webgraph.Host(e.Node); !told[site] {
+			told[site] = true
+			sites = append(sites, site)
 		}
-		site := webgraph.Host(key[:i])
-		if q.stopSent[site] {
-			continue
-		}
-		q.stopSent[site] = true
-		sites = append(sites, site)
 	}
 	sort.Strings(sites)
 	return sites
@@ -1148,15 +1201,6 @@ const (
 	tuneBoostAgeMicros = 20000
 )
 
-// frameOpts derives the wire-session options for this query's
-// connections (its pool and its accepted collector sessions).
-func (q *Query) frameOpts() wire.FramedOptions {
-	if q.wireV1 {
-		return wire.FramedOptions{Offer: 1, Accept: 1}
-	}
-	return wire.FramedOptions{}
-}
-
 // tuneCheck runs the adaptive-batching hysteresis against the current
 // consumer lag and, on a level transition, returns the sites with live
 // CHT entries to notify. Callers hold q.mu; the sends happen outside
@@ -1174,22 +1218,7 @@ func (q *Query) tuneCheck() ([]string, int) {
 	default:
 		return nil, 0
 	}
-	seen := make(map[string]bool)
-	var sites []string
-	for key := range q.counts {
-		i := strings.Index(key, "§")
-		if i <= 0 {
-			continue
-		}
-		site := webgraph.Host(key[:i])
-		if seen[site] {
-			continue
-		}
-		seen[site] = true
-		sites = append(sites, site)
-	}
-	sort.Strings(sites)
-	return sites, q.tuneLevel
+	return q.liveSites(make(map[string]bool)), q.tuneLevel
 }
 
 // broadcastTune ships the TUNE frame for the new level to each site's
@@ -1322,17 +1351,14 @@ func (q *Query) fallbackBusy() bool {
 func (q *Query) reap() {
 	sites := make(map[string]bool)
 	reaped := 0
-	for key, cnt := range q.counts {
+	for e, cnt := range q.counts {
 		if cnt > 0 {
-			// Key layout is "node§state§origin§seq" (wire.CHTEntry.Key);
-			// the node's host is the site that never reported.
-			if i := strings.Index(key, "§"); i > 0 {
-				sites[webgraph.Host(key[:i])] = true
-			}
+			// The node's host is the site that never reported.
+			sites[webgraph.Host(e.Node)] = true
 		}
 		reaped++
 	}
-	q.counts = make(map[string]int)
+	q.counts = make(map[wire.CHTEntry]int)
 	q.nonzero = 0
 	q.stats.Reaped += reaped
 	q.partial = true
@@ -1397,10 +1423,6 @@ func (q *Query) finish(err error) {
 			q.srows = append(q.srows, StreamRow{Stage: q.finalStage, Row: row})
 		}
 	}
-	if q.unsub != nil {
-		q.unsub()
-		q.unsub = nil
-	}
 	close(q.doneCh)
 	q.scond.Broadcast() // wake stream consumers: no more rows are coming
 	if q.sess != nil {
@@ -1415,11 +1437,7 @@ func (q *Query) finish(err error) {
 		// straggler report fail fast at its sender. The accepted
 		// connections must close too: senders pool them between reports,
 		// and passive termination relies on their next send failing.
-		q.ln.Close()
-		for conn := range q.conns {
-			conn.Close()
-		}
-		q.pool.Close()
+		q.own.close(slices.Collect(maps.Keys(q.conns)))
 	}
 	if q.fb != nil {
 		q.fb.close()
@@ -1428,7 +1446,9 @@ func (q *Query) finish(err error) {
 
 // Cancel abandons the query: the collector endpoint is closed and every
 // server that later tries to report results purges the query locally —
-// the paper's passive, bounded termination.
+// the paper's passive, bounded termination. A session query leaves the
+// session's routing table instead, and its stragglers are dropped there;
+// Stop it first to end its traversal.
 func (q *Query) Cancel() {
 	q.mu.Lock()
 	defer q.mu.Unlock()

@@ -80,8 +80,8 @@ func (q *Query) sendSiteVia(site string, msg *wire.CloneMsg, exclude map[string]
 
 // orphanClones reconstructs dispatchable clones for the CHT entries still
 // live after a full reap-grace window: the work a crashed replica took
-// with it. Each entry's key carries (node, state, origin, seq) and the
-// mirrored entry supplies the exact instance serials, so the replayed
+// with it. Each CHT key is the entry itself — (node, state, origin,
+// seq) — so it supplies the exact instance serials, and the replayed
 // clone re-announces the SAME entries — the replay retires what the
 // corpse stranded, not a fresh generation, and the ledger stays exact.
 // Returns nil (and leaves state untouched) when replay is off, exhausted,
@@ -100,15 +100,14 @@ func (q *Query) orphanClones() []*wire.CloneMsg {
 	}
 	groups := make(map[string]*group)
 	var order []string
-	for key, cnt := range q.counts {
+	for e, cnt := range q.counts {
 		if cnt <= 0 {
 			continue
 		}
-		e, ok := q.entries[key]
-		if !ok || e.State.NumQ <= 0 || e.State.NumQ > len(q.web.Stages) {
-			// An entry we cannot reconstruct (or a state from a web-query
-			// shape we do not understand): replay would lose it silently,
-			// so fall back to the honest reap.
+		if e.State.NumQ <= 0 || e.State.NumQ > len(q.web.Stages) {
+			// A state from a web-query shape we do not understand: replay
+			// would lose the entry silently, so fall back to the honest
+			// reap.
 			return nil
 		}
 		site := webgraph.Host(e.Node)
@@ -151,7 +150,7 @@ func (q *Query) orphanClones() []*wire.CloneMsg {
 			msg.Span = wire.SpanID{Origin: q.id.Site, Seq: q.spanSeq.Add(1)}
 		}
 		for _, d := range g.dest {
-			q.replayed[wire.CHTEntry{Node: d.URL, State: g.state, Origin: d.Origin, Seq: d.Seq}.Key()] = true
+			q.replayed[wire.CHTEntry{Node: d.URL, State: g.state, Origin: d.Origin, Seq: d.Seq}] = true
 		}
 		out = append(out, msg)
 	}

@@ -30,7 +30,7 @@ func TestMergeRejectsStaleIncarnation(t *testing.T) {
 	}
 	q := &Query{
 		cluster: m,
-		counts:  map[string]int{e.Key(): 1, other.Key(): 1},
+		counts:  map[wire.CHTEntry]int{e: 1, other: 1},
 		nonzero: 2,
 	}
 
@@ -42,8 +42,8 @@ func TestMergeRejectsStaleIncarnation(t *testing.T) {
 	if q.stats.StaleRejected != 1 {
 		t.Fatalf("StaleRejected = %d, want 1", q.stats.StaleRejected)
 	}
-	if q.stats.Reports != 0 || q.counts[e.Key()] != 1 {
-		t.Fatalf("stale frame was merged: reports=%d count=%d", q.stats.Reports, q.counts[e.Key()])
+	if q.stats.Reports != 0 || q.counts[e] != 1 {
+		t.Fatalf("stale frame was merged: reports=%d count=%d", q.stats.Reports, q.counts[e])
 	}
 
 	fresh := &wire.ResultMsg{
@@ -54,8 +54,8 @@ func TestMergeRejectsStaleIncarnation(t *testing.T) {
 	if q.stats.Reports != 1 || q.stats.EntriesRetired != 1 {
 		t.Fatalf("current-incarnation frame not merged: %+v", q.stats)
 	}
-	if q.counts[e.Key()] != 0 {
-		t.Fatalf("entry not retired by the fresh frame: count=%d", q.counts[e.Key()])
+	if q.counts[e] != 0 {
+		t.Fatalf("entry not retired by the fresh frame: count=%d", q.counts[e])
 	}
 }
 
@@ -71,22 +71,21 @@ func TestRetireAbsorbsReplayedDuplicate(t *testing.T) {
 		Origin: "user/q1", Seq: 1,
 	}
 	q := &Query{
-		counts:   make(map[string]int),
-		entries:  make(map[string]wire.CHTEntry),
-		replayed: make(map[string]bool),
+		counts:   make(map[wire.CHTEntry]int),
+		replayed: make(map[wire.CHTEntry]bool),
 	}
 	q.addEntry(e)
-	q.replayed[e.Key()] = true
+	q.replayed[e] = true
 	q.retire(e) // the replay's own retirement balances the entry
-	if q.counts[e.Key()] != 0 || q.nonzero != 0 {
-		t.Fatalf("first retirement did not balance: count=%d nonzero=%d", q.counts[e.Key()], q.nonzero)
+	if q.counts[e] != 0 || q.nonzero != 0 {
+		t.Fatalf("first retirement did not balance: count=%d nonzero=%d", q.counts[e], q.nonzero)
 	}
 	q.retire(e) // the corpse's report arrives after all
 	if q.stats.DupRetired != 1 {
 		t.Fatalf("DupRetired = %d, want 1", q.stats.DupRetired)
 	}
-	if q.counts[e.Key()] != 0 || q.nonzero != 0 {
-		t.Fatalf("duplicate retirement dented the ledger: count=%d nonzero=%d", q.counts[e.Key()], q.nonzero)
+	if q.counts[e] != 0 || q.nonzero != 0 {
+		t.Fatalf("duplicate retirement dented the ledger: count=%d nonzero=%d", q.counts[e], q.nonzero)
 	}
 
 	// A non-replayed key still books the transient negative.
@@ -96,8 +95,8 @@ func TestRetireAbsorbsReplayedDuplicate(t *testing.T) {
 		Origin: "user/q1", Seq: 2,
 	}
 	q.retire(other)
-	if q.stats.GhostReports != 1 || q.counts[other.Key()] != -1 {
+	if q.stats.GhostReports != 1 || q.counts[other] != -1 {
 		t.Fatalf("overtaking report mishandled: ghosts=%d count=%d",
-			q.stats.GhostReports, q.counts[other.Key()])
+			q.stats.GhostReports, q.counts[other])
 	}
 }

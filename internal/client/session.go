@@ -4,12 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"net"
+	"slices"
 	"sync"
 
-	"webdis/internal/cluster"
 	"webdis/internal/disql"
-	"webdis/internal/netsim"
 	"webdis/internal/wire"
 )
 
@@ -30,11 +30,8 @@ var ErrSessionClosed = errors.New("client: session closed")
 // queries' CHT accounting is indifferent: a dropped straggler was
 // already accounted or reaped.
 type Session struct {
-	c        *Client
-	endpoint string
-	ln       net.Listener
-	pool     *netsim.Pool
-	unsub    func() // detaches the down-replica pool eviction, if clustered
+	c *Client
+	*collector
 
 	mu      sync.Mutex
 	conns   map[net.Conn]bool
@@ -49,30 +46,15 @@ func (c *Client) NewSession() (*Session, error) {
 	c.sessions++
 	n := c.sessions
 	c.mu.Unlock()
-	ln, endpoint, err := c.listenCollector(fmt.Sprintf("s%d", n))
+	col, err := c.openCollector(fmt.Sprintf("s%d", n))
 	if err != nil {
 		return nil, fmt.Errorf("client: session collector: %w", err)
 	}
 	s := &Session{
-		c:        c,
-		endpoint: endpoint,
-		ln:       ln,
-		pool: netsim.NewPool(c.tr, endpoint, netsim.PoolOptions{
-			Wrap: func(conn net.Conn) net.Conn { return wire.NewFramedOpts(conn, c.frameOpts()) },
-		}),
-		conns:   make(map[net.Conn]bool),
-		queries: make(map[int]*Query),
-	}
-	if cl := c.opts.Cluster; cl != nil {
-		// Shared-pool hygiene, as for per-query pools: a replica declared
-		// down has its idle connections evicted so the session's next send
-		// re-resolves instead of burning a send on the corpse.
-		pool := s.pool
-		s.unsub = cl.Subscribe(func(ep string, st cluster.State) {
-			if st == cluster.Down {
-				pool.EvictPeer(ep)
-			}
-		})
+		c:         c,
+		collector: col,
+		conns:     make(map[net.Conn]bool),
+		queries:   make(map[int]*Query),
 	}
 	go s.accept()
 	return s, nil
@@ -206,23 +188,10 @@ func (s *Session) Close() {
 		return
 	}
 	s.closed = true
-	conns := make([]net.Conn, 0, len(s.conns))
-	for conn := range s.conns {
-		conns = append(conns, conn)
-	}
-	queries := make([]*Query, 0, len(s.queries))
-	for _, q := range s.queries {
-		queries = append(queries, q)
-	}
+	conns := slices.Collect(maps.Keys(s.conns))
+	queries := slices.Collect(maps.Values(s.queries))
 	s.mu.Unlock()
-	if s.unsub != nil {
-		s.unsub()
-	}
-	s.ln.Close()
-	for _, conn := range conns {
-		conn.Close()
-	}
-	s.pool.Close()
+	s.close(conns)
 	// Cancel outside s.mu: each cancel re-enters detach.
 	for _, q := range queries {
 		q.Cancel()

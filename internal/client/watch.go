@@ -45,14 +45,13 @@ import (
 	"errors"
 	"fmt"
 	"iter"
+	"maps"
 	"net"
+	"slices"
 	"sort"
 	"sync"
-	"time"
 
-	"webdis/internal/cluster"
 	"webdis/internal/disql"
-	"webdis/internal/netsim"
 	"webdis/internal/nodeproc"
 	"webdis/internal/server"
 	"webdis/internal/trace"
@@ -152,11 +151,10 @@ type contribSet map[int]map[string][]string
 // traversal, and emits typed row deltas. Create with Client.Watch,
 // consume with Deltas, Stream or Results, release with Close.
 type Watch struct {
-	c      *Client
-	web    *disql.WebQuery
-	wid    wire.QueryID
-	ln     net.Listener
-	pool   *netsim.Pool
+	c   *Client
+	web *disql.WebQuery
+	wid wire.QueryID
+	*collector
 	sites  []string // sites a WatchMsg registration reached
 	budget wire.Budget
 	// extDone mirrors Options.Done, bounding Stream pumps exactly as in
@@ -172,6 +170,7 @@ type Watch struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	queue  []*wire.DeltaMsg
+	acks   int // registration acknowledgements received
 	conns  map[net.Conn]bool
 	closed bool
 	err    error
@@ -253,15 +252,12 @@ func (c *Client) WatchBudget(ctx context.Context, w *disql.WebQuery, sites []str
 	}
 	wa.cond = sync.NewCond(&wa.mu)
 
-	ln, endpoint, err := c.listenCollector(fmt.Sprintf("w%d", num))
+	col, err := c.openCollector(fmt.Sprintf("w%d", num))
 	if err != nil {
 		return nil, fmt.Errorf("client: watch collector: %w", err)
 	}
-	wa.wid = wire.QueryID{User: c.user, Site: endpoint, Num: num}
-	wa.ln = ln
-	wa.pool = netsim.NewPool(c.tr, endpoint, netsim.PoolOptions{
-		Wrap: func(conn net.Conn) net.Conn { return wire.NewFramedOpts(conn, c.frameOpts()) },
-	})
+	wa.collector = col
+	wa.wid = wire.QueryID{User: c.user, Site: col.endpoint, Num: num}
 	go wa.collect()
 
 	// Register before the initial run: a mutation landing between the
@@ -275,14 +271,30 @@ func (c *Client) WatchBudget(ctx context.Context, w *disql.WebQuery, sites []str
 			wa.sites = append(wa.sites, site)
 		}
 	}
+	// Each site acknowledges once the registration is in place; until
+	// then a mutation could reach a site that would not notify the watch.
+	if err := wa.await(ctx, func() bool { return wa.acks >= len(wa.sites) }); err != nil {
+		wa.teardown()
+		return nil, err
+	}
 
+	// The baseline is a waited query: it rides the default session.
 	rec := &recording{}
-	q, err := c.submit(w, b, nil, rec)
+	sess, err := c.Session()
+	if err != nil {
+		wa.teardown()
+		return nil, err
+	}
+	q, err := c.submit(w, b, sess, rec)
 	if err != nil {
 		wa.teardown()
 		return nil, err
 	}
 	if err := q.WaitContext(ctx); err != nil {
+		// The session drops an abandoned query's stragglers at its router
+		// rather than failing them at their senders, so stop it actively.
+		q.Stop("watch baseline abandoned")
+		q.Cancel()
 		wa.teardown()
 		return nil, err
 	}
@@ -356,6 +368,14 @@ func (w *Watch) collect() {
 					return
 				}
 				if m, ok := msg.(*wire.DeltaMsg); ok && m.Applies() && m.ID.Num == w.wid.Num {
+					if m.Seq == 0 {
+						// A registration acknowledgement, not a change.
+						w.mu.Lock()
+						w.acks++
+						w.cond.Broadcast()
+						w.mu.Unlock()
+						continue
+					}
 					if w.journal != nil {
 						w.journal.Append(trace.Event{
 							Query: w.wid.String(), Kind: trace.Delta,
@@ -732,27 +752,32 @@ func (w *Watch) Err() error {
 // WaitEpoch blocks until at least n notifications have been processed,
 // the watch fails or closes, or ctx ends.
 func (w *Watch) WaitEpoch(ctx context.Context, n int) error {
-	var stop chan struct{}
-	if ctx.Done() != nil {
-		stop = make(chan struct{})
-		defer close(stop)
-		go func() {
-			select {
-			case <-ctx.Done():
-				w.mu.Lock()
-				w.cond.Broadcast()
-				w.mu.Unlock()
-			case <-stop:
-			}
-		}()
-	}
+	return w.await(ctx, func() bool { return w.epoch >= n })
+}
+
+// await blocks until done (evaluated under w.mu) holds, the watch fails
+// or closes, ctx ends, or the client's Options.Done channel closes.
+func (w *Watch) await(ctx context.Context, done func() bool) error {
+	stop := make(chan struct{})
+	defer close(stop)
+	go func() {
+		select {
+		case <-ctx.Done():
+		case <-w.extDone:
+		case <-stop:
+			return
+		}
+		w.mu.Lock()
+		w.cond.Broadcast()
+		w.mu.Unlock()
+	}()
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	for w.epoch < n && w.err == nil && !w.closed && ctx.Err() == nil {
+	for !done() && w.err == nil && !w.closed && ctx.Err() == nil && !w.extClosed() {
 		w.cond.Wait()
 	}
 	switch {
-	case w.epoch >= n:
+	case done():
 		return nil
 	case w.err != nil:
 		return w.err
@@ -898,17 +923,10 @@ func (w *Watch) Close() error {
 func (w *Watch) teardown() {
 	w.mu.Lock()
 	w.closed = true
-	conns := make([]net.Conn, 0, len(w.conns))
-	for conn := range w.conns {
-		conns = append(conns, conn)
-	}
+	conns := slices.Collect(maps.Keys(w.conns))
 	w.cond.Broadcast()
 	w.mu.Unlock()
-	w.ln.Close()
-	for _, conn := range conns {
-		conn.Close()
-	}
-	w.pool.Close()
+	w.close(conns)
 }
 
 // submitRoots dispatches a web-query that resumes mid-traversal: each
@@ -916,63 +934,15 @@ func (w *Watch) teardown() {
 // stage 0. It is the re-derivation primitive of the continuous-query
 // layer — the query's clones are the successively-shortened suffix
 // stages, exactly as if the original traversal had just arrived there.
+// Re-derivations are waited queries, so they ride the default session.
 func (c *Client) submitRoots(w *disql.WebQuery, roots []wire.CHTEntry, b wire.Budget, rec *recording) (*Query, error) {
-	c.mu.Lock()
-	c.next++
-	num := c.next
-	c.mu.Unlock()
-
-	q := &Query{
-		web:        w,
-		tr:         c.tr,
-		hybrid:     c.opts.Hybrid,
-		reapGrace:  c.opts.ReapGrace,
-		met:        c.opts.Metrics,
-		journal:    c.opts.Journal,
-		cluster:    c.opts.Cluster,
-		budget:     b,
-		doneCh:     make(chan struct{}),
-		conns:      make(map[net.Conn]bool),
-		counts:     make(map[string]int),
-		tables:     make(map[int]*ResultTable),
-		rowSeen:    make(map[int]map[string]bool),
-		started:    time.Now(),
-		lastReport: time.Now(),
-		stopSent:   make(map[string]bool),
-		wireV1:     c.opts.WireV1,
-		adaptive:   c.opts.AdaptiveBatch,
-		extDone:    c.opts.Done,
-		rec:        rec,
-	}
-	q.scond = sync.NewCond(&q.mu)
-	q.statSink = c.stats
-	if q.cluster != nil {
-		q.entries = make(map[string]wire.CHTEntry)
-		q.replayed = make(map[string]bool)
-		// Correlated queries never reach here (Watch rejects them), so a
-		// replayed clone can always be reconstructed from its entry.
-		q.replayable = true
-	}
-	ln, endpoint, err := c.listenCollector(fmt.Sprintf("q%d", num))
+	sess, err := c.Session()
 	if err != nil {
-		return nil, fmt.Errorf("client: result collector: %w", err)
+		return nil, err
 	}
-	q.id = wire.QueryID{User: c.user, Site: endpoint, Num: num}
-	q.ln = ln
-	q.pool = netsim.NewPool(c.tr, endpoint, netsim.PoolOptions{
-		Wrap: func(conn net.Conn) net.Conn { return wire.NewFramedOpts(conn, q.frameOpts()) },
-	})
-	if q.cluster != nil {
-		pool := q.pool
-		q.unsub = q.cluster.Subscribe(func(ep string, st cluster.State) {
-			if st == cluster.Down {
-				pool.EvictPeer(ep)
-			}
-		})
-	}
-	go q.collect()
-	if q.reapGrace > 0 {
-		go q.reaper()
+	q, err := c.newQuery(w, b, sess, rec)
+	if err != nil {
+		return nil, err
 	}
 
 	stages := make([]disql.Stage, len(w.Stages))
@@ -1040,20 +1010,9 @@ func (c *Client) submitRoots(w *disql.WebQuery, roots []wire.CHTEntry, b wire.Bu
 				State: g.state.String(), Detail: site,
 			})
 		}
-		if err := q.dispatch(site, msg); err != nil {
-			if q.hybrid {
-				q.jot(msg, trace.Bounce, wire.BounceNoServer)
-				q.bounced(msg)
-				continue
-			}
-			q.jot(msg, trace.ForwardFailed, site)
-			q.mu.Lock()
-			for _, dest := range g.dests {
-				q.retire(wire.CHTEntry{Node: dest.URL, State: g.state, Origin: dest.Origin, Seq: dest.Seq})
-			}
-			q.maybeComplete()
-			q.mu.Unlock()
-		}
+		// A root its site did not take has retired its entries (or gone
+		// to the hybrid fallback); the re-derivation goes on without it.
+		_ = q.dispatchRoot(site, msg)
 	}
 	// An empty root set (or every dispatch failing) must still complete.
 	q.mu.Lock()

@@ -7,7 +7,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"reflect"
 	"sort"
@@ -477,48 +476,66 @@ func (d *Deployment) SubmitDISQL(src string) (*client.Query, error) {
 }
 
 // Run submits a DISQL query and waits for completion (timeout <= 0 waits
-// forever), returning the finished query. A query that exceeds the
-// timeout is cancelled before Run returns: the collector endpoint closes,
-// so passive termination drains the in-flight clones instead of leaking
-// the endpoint, the collector goroutine and any fallback worker. The
-// partial results gathered before the deadline remain readable.
+// forever), returning the finished query. The query rides the client's
+// default session, so its result connections are pooled across queries
+// rather than dialed per query. A query that exceeds the timeout is
+// stopped at every query server of the deployment and cancelled before
+// Run returns, since the session drops its straggler reports at the
+// router rather than failing them at their senders. The partial results
+// gathered before the deadline remain readable.
 func (d *Deployment) Run(src string, timeout time.Duration) (*client.Query, error) {
-	q, err := d.SubmitDISQL(src)
-	if err != nil {
-		return nil, err
+	if timeout <= 0 {
+		return d.RunContext(context.Background(), src)
 	}
-	if err := q.Wait(timeout); err != nil {
-		if errors.Is(err, client.ErrTimeout) {
-			q.Cancel()
-		}
-		return q, err
-	}
-	return q, nil
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	return d.RunContext(ctx, src)
 }
 
-// RunContext submits a DISQL query bound to ctx and waits for it. A ctx
-// that ends first actively stops the query's in-flight clones (typed
-// StopMsg broadcast) and cancels collection; the partial results
-// gathered remain readable on the returned query. The context-first form
-// of Run.
+// RunContext submits a DISQL query bound to ctx over the client's
+// default session and waits for it. A ctx that ends first actively stops
+// the query's in-flight clones and cancels collection; the partial
+// results gathered remain readable on the returned query. The
+// context-first form of Run.
 func (d *Deployment) RunContext(ctx context.Context, src string) (*client.Query, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	w, err := disql.Parse(src)
 	if err != nil {
 		return nil, err
 	}
-	q, err := d.client.SubmitContext(ctx, w)
+	sess, err := d.client.Session()
 	if err != nil {
 		return nil, err
 	}
-	if err := q.WaitContext(ctx); err != nil {
-		if errors.Is(err, client.ErrTimeout) {
-			// A ctx deadline, unlike an explicit cancel, does not cancel
-			// the query from inside WaitContext; match Run's contract.
-			q.Cancel()
-		}
-		return q, err
+	q, err := sess.Submit(w)
+	if err != nil {
+		return nil, err
 	}
-	return q, nil
+	err = q.WaitContext(ctx)
+	d.release(q, err)
+	return q, err
+}
+
+// release ends a waited query at every server. One its caller gave up
+// on is marked stopped there first: its session drops stragglers at the
+// router, so passive termination (Section 2.8) cannot end it, and a
+// StopMsg chasing the CHT frontier lands a hop behind a latency chain.
+// Its log-table entries then go, so the tables hold live queries only.
+func (d *Deployment) release(q *client.Query, err error) {
+	for _, reps := range d.servers {
+		for _, s := range reps {
+			if err != nil {
+				s.StopQuery(q.ID())
+			}
+			s.LogTable().Forget(q.ID())
+		}
+	}
+	if err != nil {
+		q.Stop(err.Error())
+		q.Cancel()
+	}
 }
 
 // SubmitContext dispatches a parsed web-query bound to ctx (see
@@ -737,11 +754,14 @@ func (d *Deployment) Cluster() *cluster.Membership { return d.cluster }
 // Host returns the document host of site, or nil.
 func (d *Deployment) Host(site string) *webserver.Host { return d.hosts[site] }
 
-// Close stops the health prober, every server replica and document
-// host, and closes the deployment's done channel — releasing every
-// stream pump and watch whose consumer abandoned it. Idempotent.
+// Close closes the client's default session (cancelling the waited
+// queries still in it), stops the health prober, every server replica
+// and document host, and closes the deployment's done channel —
+// releasing every stream pump and watch whose consumer abandoned it.
+// Idempotent.
 func (d *Deployment) Close() {
 	d.closeOnce.Do(func() { close(d.done) })
+	d.client.Close()
 	if d.cluster != nil {
 		d.cluster.StopProber()
 	}

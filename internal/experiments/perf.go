@@ -8,6 +8,7 @@ import (
 	"sort"
 	"time"
 
+	"webdis/internal/client"
 	"webdis/internal/core"
 	"webdis/internal/netsim"
 	"webdis/internal/server"
@@ -191,7 +192,17 @@ func perfCell(transport, topology, config string, web *webgraph.Web, opts server
 	nrows := 0
 	runOne := func() (time.Duration, error) {
 		start := time.Now()
-		q, err := d.Run(src, 30*time.Second)
+		var q *client.Query
+		var err error
+		if config == "baseline" {
+			// The seed's path: a per-query collector endpoint and pool, on
+			// which no connection outlives its query.
+			if q, err = d.SubmitDISQL(src); err == nil {
+				err = q.Wait(30 * time.Second)
+			}
+		} else {
+			q, err = d.Run(src, 30*time.Second)
+		}
 		if err != nil {
 			return 0, err
 		}

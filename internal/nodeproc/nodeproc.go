@@ -292,13 +292,13 @@ type LogTable struct {
 	mode DedupMode
 
 	mu      sync.Mutex
-	entries map[string][]logEntry // node + query id -> states
+	entries map[logKey][]logEntry
 	size    int
 }
 
 // NewLogTable returns an empty log table operating in the given mode.
 func NewLogTable(mode DedupMode) *LogTable {
-	return &LogTable{mode: mode, entries: make(map[string][]logEntry)}
+	return &LogTable{mode: mode, entries: make(map[logKey][]logEntry)}
 }
 
 // Mode returns the table's dedup mode.
@@ -311,7 +311,13 @@ func (lt *LogTable) Len() int {
 	return lt.size
 }
 
-func logKey(node string, id wire.QueryID) string { return node + "§" + id.String() }
+// logKey names the log table slot of one node, query and correlated
+// environment: arrivals in different slots are never equivalent.
+type logKey struct {
+	node string
+	id   wire.QueryID
+	env  string
+}
 
 // Check classifies the arrival of a clone for node in state (numQ, rem)
 // and updates the table per Section 3.1.1: fresh and superset arrivals are
@@ -323,7 +329,7 @@ func (lt *LogTable) Check(node string, id wire.QueryID, numQ int, rem pre.Expr, 
 	if lt.mode == DedupOff {
 		return Verdict{Action: Process, Rem: rem}
 	}
-	key := logKey(node, id) + "\x00" + envKey
+	key := logKey{node: node, id: id, env: envKey}
 	lt.mu.Lock()
 	defer lt.mu.Unlock()
 	entries := lt.entries[key]
@@ -363,26 +369,38 @@ func (lt *LogTable) Check(node string, id wire.QueryID, numQ int, rem pre.Expr, 
 	return Verdict{Action: Process, Rem: rem}
 }
 
+// Forget removes every entry of one query and returns how many it
+// removed. Slots are per query: a finished query's never match again.
+func (lt *LogTable) Forget(id wire.QueryID) int {
+	return lt.remove(func(key logKey, _ logEntry) bool { return key.id == id })
+}
+
 // Purge removes entries older than maxAge. The paper purges periodically
 // to bound storage; an over-eager purge only costs recomputation, never
 // correctness.
 func (lt *LogTable) Purge(maxAge time.Duration) int {
 	cutoff := time.Now().Add(-maxAge)
+	return lt.remove(func(_ logKey, e logEntry) bool { return !e.added.After(cutoff) })
+}
+
+// remove drops the entries gone picks and returns how many it dropped.
+func (lt *LogTable) remove(gone func(logKey, logEntry) bool) int {
 	lt.mu.Lock()
 	defer lt.mu.Unlock()
 	removed := 0
 	for key, entries := range lt.entries {
 		kept := entries[:0]
 		for _, e := range entries {
-			if e.added.After(cutoff) {
-				kept = append(kept, e)
-			} else {
+			if gone(key, e) {
 				removed++
+			} else {
+				kept = append(kept, e)
 			}
 		}
-		if len(kept) == 0 {
+		switch {
+		case len(kept) == 0:
 			delete(lt.entries, key)
-		} else {
+		case len(kept) < len(entries):
 			lt.entries[key] = kept
 		}
 	}

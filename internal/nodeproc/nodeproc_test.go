@@ -264,6 +264,30 @@ func TestLogTablePurge(t *testing.T) {
 	}
 }
 
+func TestLogTableForget(t *testing.T) {
+	lt := NewLogTable(DedupSubsume)
+	other := wire.QueryID{User: "u", Site: "user/q2", Num: 2}
+	lt.Check("http://n", qid, 1, pre.MustParse("G"), "")
+	lt.Check("http://m", qid, 1, pre.MustParse("G"), "e")
+	lt.Check("http://n", other, 1, pre.MustParse("G"), "")
+	if removed := lt.Forget(qid); removed != 2 {
+		t.Fatalf("removed = %d, want 2", removed)
+	}
+	if lt.Len() != 1 {
+		t.Errorf("Len = %d, want 1", lt.Len())
+	}
+	// The other query's entry stays; the forgotten one's arrival is fresh.
+	if v := lt.Check("http://n", other, 1, pre.MustParse("G"), ""); v.Action != Drop {
+		t.Fatalf("other query after Forget = %v", v.Action)
+	}
+	if v := lt.Check("http://n", qid, 1, pre.MustParse("G"), ""); v.Action != Process {
+		t.Fatalf("forgotten query = %v", v.Action)
+	}
+	if removed := lt.Forget(wire.QueryID{Num: 9}); removed != 0 {
+		t.Errorf("forgetting an unknown query removed %d", removed)
+	}
+}
+
 func TestModeAndActionStrings(t *testing.T) {
 	if DedupSubsume.String() != "subsume" || DedupOff.String() != "off" ||
 		DedupExact.String() != "exact" || DedupStrong.String() != "strong" {

@@ -596,7 +596,7 @@ func (s *Server) receive(conn net.Conn) {
 		case *wire.CloneMsg:
 			s.admit(m)
 		case *wire.StopMsg:
-			s.markStopped(m.ID.String())
+			s.StopQuery(m.ID)
 		case *wire.TuneMsg:
 			// Adaptive-batching feedback from the query's collector; purely
 			// advisory, and a no-op when batching is off.
@@ -640,6 +640,10 @@ func (s *Server) handleWatch(m *wire.WatchMsg) {
 		s.watches[key] = &watchReg{id: m.ID}
 		s.met.WatchesRegistered.Add(1)
 	}
+	// Acknowledge with a Seq-0 delta: the collector starts its baseline
+	// only once every site holds the registration, so no mutation in
+	// between goes unnotified.
+	go s.send(m.ID.Site, &wire.DeltaMsg{Version: wire.WatchVersion, ID: m.ID, Site: s.site}) //nolint:errcheck // a lost ack surfaces as the collector's wait ending with its ctx
 }
 
 // InvalidateDocs is the site-local change-detection hook: after the web
@@ -699,8 +703,12 @@ func (s *Server) InvalidateDocs(edited, rewired []string) {
 // outlive the query's in-flight tail.
 const stopTTL = 2 * time.Minute
 
-// markStopped records an active-termination broadcast for one query.
-func (s *Server) markStopped(id string) {
+// StopQuery records an active termination of one query: its clones
+// arriving (or finishing evaluation) from now on retire with the typed
+// STOPPED fate. A StopMsg lands here; an in-process deployment may also
+// call it directly to stop a query ahead of its clones.
+func (s *Server) StopQuery(qid wire.QueryID) {
+	id := qid.String()
 	now := time.Now()
 	s.stopMu.Lock()
 	if len(s.stoppedQ) > 128 {

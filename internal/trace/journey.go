@@ -50,9 +50,9 @@ type SpanNode struct {
 	State    string
 	// Sent, Arrived and Done are monotonic trace times (-1 when the
 	// corresponding event is not in the journals).
-	Sent     time.Duration
-	Arrived  time.Duration
-	Done     time.Duration
+	Sent    time.Duration
+	Arrived time.Duration
+	Done    time.Duration
 	Fate    string
 	Retries int
 	// Failovers counts re-resolutions to another replica of the

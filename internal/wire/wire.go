@@ -325,17 +325,13 @@ func (c *CloneMsg) State() State {
 
 // CHTEntry names one clone instance currently hosted at a node, with the
 // clone's state — one row of the user-site's Current Hosts Table. Origin
-// and Seq uniquely identify the instance (see DestNode).
+// and Seq uniquely identify the instance (see DestNode). It is
+// comparable, so the table keys its counts by the entry itself.
 type CHTEntry struct {
 	Node   string
 	State  State
 	Origin string
 	Seq    int64
-}
-
-// Key returns the CHT map key: node, state and instance serial.
-func (e CHTEntry) Key() string {
-	return fmt.Sprintf("%s§%s§%s§%d", e.Node, e.State.Key(), e.Origin, e.Seq)
 }
 
 // CHTUpdate reports the processing of one node: the entry being retired

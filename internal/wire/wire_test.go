@@ -193,12 +193,13 @@ func TestQueryIDAndStateStrings(t *testing.T) {
 		t.Errorf("key = %s", s.Key())
 	}
 	e := CHTEntry{Node: "http://x", State: s, Origin: "a/query", Seq: 9}
-	if e.Key() != "http://x§2|L*1§a/query§9" {
-		t.Errorf("entry key = %s", e.Key())
-	}
 	e2 := CHTEntry{Node: "http://x", State: s, Origin: "a/query", Seq: 10}
-	if e.Key() == e2.Key() {
+	cht := map[CHTEntry]int{e: 1, e2: 1}
+	if len(cht) != 2 {
 		t.Error("distinct clone instances must have distinct keys")
+	}
+	if cht[CHTEntry{Node: "http://x", State: State{NumQ: 2, Rem: "L*1"}, Origin: "a/query", Seq: 9}] != 1 {
+		t.Error("an equal entry must find its count")
 	}
 }
 
